@@ -28,6 +28,7 @@ PIPE_READER = "core.subscriber.pipe_reader"
 ASYNC_PUBLISH = "core.async_engine.publish"
 ASYNC_INTERFACE_PUBLISH = "core.async_engine.interface_publish"
 ASYNC_RESUME = "core.async_engine.resume"
+ASYNC_REOPEN = "core.async_engine.reopen"
 STREAM_WAIT = "core.async_engine.stream_wait"
 JXTA_PUBLISH = "core.jxta_engine.publish"
 CODEC_ENCODE = "serialization.object_codec.encode"
@@ -118,6 +119,7 @@ def install(tracer: Tracer) -> None:
     wrap(TPSSubscriberManager, "dispatch", DISPATCH)
     wrap(TPSPipeReader, "__call__", PIPE_READER)
     wrap(AsyncLocalBus, "publish", ASYNC_PUBLISH)
+    wrap(AsyncEventStream, "resume", ASYNC_RESUME)
     wrap(AsyncEventStream, "_enqueue", STREAM_WAIT)
     wrap(ObjectCodec, "encode", CODEC_ENCODE, after=count_encoded)
     wrap(ObjectCodec, "decode", CODEC_DECODE)
@@ -143,7 +145,12 @@ def per_layer_metrics(
     ``*_per_event`` divides by the ``publish`` calls made on any interface
     while tracing (set-up warm-ups and every phase included); ``*_us``
     is the mean span duration per call (``*_self_us``: mean self time), so a
-    layer the workload never enters reads 0.
+    layer the workload never enters reads 0.  No metric is a run total, so
+    none moves with how many publishes the traced half fits in:
+    ``storage.log.fsync_calls`` is per publish,
+    ``core.async_engine.stream_dropped`` per event published to the
+    drop_oldest stream, and ``storage.log.recovered_records`` and
+    ``storage.log.truncated_bytes`` per reopen.
     """
     rollup = tracer.rollup()
     counts = tracer.counts
@@ -186,8 +193,12 @@ def per_layer_metrics(
         "core.subscriber.dispatch_self_us": (mean_us(DISPATCH, "self_ns"), "us"),
         "core.async_engine.publish_self_us": (mean_us(ASYNC_PUBLISH, "self_ns"), "us"),
         "core.async_engine.resume_us": (mean_us(ASYNC_RESUME), "us"),
+        "core.async_engine.reopen_us": (mean_us(ASYNC_REOPEN), "us"),
         "core.async_engine.stream_wait_us": (per_event_us(STREAM_WAIT), "us"),
-        "core.async_engine.stream_dropped": (counts["stream_dropped"], "count"),
+        "core.async_engine.stream_dropped": (
+            ratio(counts["stream_dropped"], counts["stream_published"]),
+            "count",
+        ),
         "core.jxta_engine.publish_self_us": (mean_us(JXTA_PUBLISH, "self_ns"), "us"),
         "core.jxta_engine.delivered_useful_ratio": (
             ratio(calls(DISPATCH), calls(PIPE_READER)),
@@ -215,7 +226,7 @@ def per_layer_metrics(
         "net.simclock.run_self_us": (per_event_us(SIM_STEP, "self_ns"), "us"),
         "net.network.bytes_per_event": (counts[NET_TRANSMIT + ".bytes"] / events, "B"),
         "storage.log.append_us": (mean_us(LOG_APPEND), "us"),
-        "storage.log.fsync_calls": (float(calls(LOG_FSYNC)), "count"),
+        "storage.log.fsync_calls": (calls(LOG_FSYNC) / events, "count"),
         "storage.log.fsync_us": (mean_us(LOG_FSYNC), "us"),
         "storage.log.since_us": (mean_us(LOG_SINCE), "us"),
         "storage.log.since_useful_ratio": (
@@ -226,8 +237,14 @@ def per_layer_metrics(
             ratio(counts[LOG_OPEN + ".reopen_ns"] / 1e9, counts[LOG_OPEN + ".reopens"]),
             "s",
         ),
-        "storage.log.recovered_records": (counts[LOG_OPEN + ".recovered_records"], "count"),
-        "storage.log.truncated_bytes": (counts[LOG_OPEN + ".truncated_bytes"], "B"),
+        "storage.log.recovered_records": (
+            ratio(counts[LOG_OPEN + ".recovered_records"], counts[LOG_OPEN + ".reopens"]),
+            "count",
+        ),
+        "storage.log.truncated_bytes": (
+            ratio(counts[LOG_OPEN + ".truncated_bytes"], counts[LOG_OPEN + ".reopens"]),
+            "B",
+        ),
         "trace.overhead_ratio": (ratio(traced_rate, untraced_rate), "ratio"),
     }
     return metrics

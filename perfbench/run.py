@@ -10,9 +10,10 @@ Workloads (sizes and predictions in ``perfbench/workloads.json``):
 ``--trace 1`` runs the workload untraced for half of ``--seconds`` and then,
 with timing wrappers installed on every layer, for the other half, and
 reports the per-layer metrics.  Every metric is printed as ``name value
-unit``; the last line is one JSON object with ``correct``, ``attempted``,
-``failed`` and ``metrics``.  The exit code is 1 when any delivery diverged
-from the reference model.
+unit``; ``--trace 0`` also prints each end-to-end metric in unscaled wall
+time as ``raw name value unit``.  The last line is one JSON object with
+``correct``, ``attempted``, ``failed`` and ``metrics``.  The exit code is 1
+when any delivery diverged from the reference model.
 """
 
 from __future__ import annotations
@@ -72,34 +73,29 @@ def percentile(sorted_values: Any, fraction: float) -> Tuple[float, float]:
     return float(sorted_values[max(index, 0)]), (max(index, 0) + 1) / count
 
 
-def end_to_end(measured: workloads.Measured) -> Dict[str, Tuple[float, str]]:
-    """The end-to-end metrics of one untraced run (times scaled to the
-    nominal host speed, see :class:`workloads.Measured`).
+def end_to_end(series: workloads.Series) -> Dict[str, Tuple[float, str]]:
+    """The end-to-end metrics of one untraced run at one time base (see
+    :class:`workloads.Measured`).
 
     Throughput and median latency are medians over the timed rounds (each
     a few hundred publishes).  The p99 is the median of the p99s of windows
     of ``P99_WINDOW`` consecutive publishes, so one noisy second of the host
     cannot set it; a run with fewer samples pools them.
     """
-    if measured.window_p99_ns:
-        p99 = median(measured.window_p99_ns)
+    if series.window_p99_ns:
+        p99 = median(series.window_p99_ns)
     else:
-        p99, used = percentile(sorted(measured.latencies_ns), 0.99)
-        print(f"note: only {measured.samples} latency samples; latency_p99_us is p{used * 100:.2f}")
+        p99, used = percentile(sorted(series.latencies_ns), 0.99)
+        print(f"note: only {series.samples} latency samples; latency_p99_us is p{used * 100:.2f}")
     return {
-        "setup_s": (median(measured.setup_s), "s"),
-        "deliveries_per_s": (median([rate for rate, _ in measured.rounds]), "1/s"),
-        "latency_p50_us": (median([p50 for _, p50 in measured.rounds]) / 1e3, "us"),
+        "setup_s": (median(series.setup_s), "s"),
+        "deliveries_per_s": (median([rate for rate, _ in series.rounds]), "1/s"),
+        "latency_p50_us": (median([p50 for _, p50 in series.rounds]) / 1e3, "us"),
         "latency_p99_us": (p99 / 1e3, "us"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MiB"),
-        "recovery_s": (median(measured.recovery_s), "s"),
-        "replay_per_s": (median(measured.replay_per_s), "1/s"),
+        "recovery_s": (median(series.recovery_s), "s"),
+        "replay_per_s": (median(series.replay_per_s), "1/s"),
     }
-
-
-def raw_rate(measured: workloads.Measured) -> float:
-    """Unscaled wall-clock deliveries per second over the timed rounds."""
-    return measured.raw_deliveries / (measured.raw_timed_ns / 1e9)
 
 
 def main(argv: Any = None) -> int:
@@ -138,8 +134,8 @@ def main(argv: Any = None) -> int:
                 tracer.uninstall()
             # Both rates scaled to the nominal host, so a speed change of the
             # host between the two halves does not read as tracing cost.
-            traced_rate = median([rate for rate, _ in measured.rounds])
-            untraced_rate = median([rate for rate, _ in untraced.rounds])
+            traced_rate = median([rate for rate, _ in measured.scaled.rounds])
+            untraced_rate = median([rate for rate, _ in untraced.scaled.rounds])
             metrics = layers.per_layer_metrics(tracer, traced_rate, untraced_rate)
             spans_path = os.path.join(
                 ROOT, ".perfbench_out", "spans-%s-seed%d.jsonl" % (args.workload, args.seed)
@@ -151,7 +147,9 @@ def main(argv: Any = None) -> int:
             notes = untraced.notes + measured.notes
         else:
             measured = run(args.seed, args.seconds, spec["sizes"], NullTracer(), workdir)
-            metrics = end_to_end(measured)
+            metrics = end_to_end(measured.scaled)
+            for name, (value, unit) in end_to_end(measured.raw).items():
+                print(f"raw {name} {value:.6g} {unit} (wall clock, unscaled)")
             attempted, failed, notes = measured.expected, measured.errors, measured.notes
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -168,11 +166,10 @@ def main(argv: Any = None) -> int:
         print(line)
     print(f"error_rate {failed / max(attempted, 1):.6g} ratio")
     print(f"host slowness {median(measured.slowness):.4g} (1 = nominal)")
-    print(f"raw deliveries_per_s {raw_rate(measured):.6g} 1/s (wall clock, unscaled)")
     print(
-        f"samples latency={measured.samples} rounds={len(measured.rounds)} "
-        f"setups={len(measured.setup_s)} replays={len(measured.replay_per_s)} "
-        f"reconnects={len(measured.recovery_s)}"
+        f"samples latency={measured.raw.samples} rounds={len(measured.raw.rounds)} "
+        f"setups={len(measured.raw.setup_s)} replays={len(measured.raw.replay_per_s)} "
+        f"reconnects={len(measured.raw.recovery_s)}"
     )
     print(
         json.dumps(

@@ -37,7 +37,7 @@ from repro.bench.scenario import ScenarioConfig, build_scenario
 from repro.core import AsyncLocalBus, LocalBus, PSException, TPSConfig, TPSEngine
 from repro.jxta.ids import seed_ids
 
-from layers import ASYNC_RESUME
+from layers import ASYNC_REOPEN
 
 _now = time.perf_counter_ns
 
@@ -92,19 +92,11 @@ def reference_ns(loops: int = 4000, reps: int = 3) -> int:
 
 
 @dataclass
-class Measured:
-    """What one workload run measured.
-
-    On a shared virtual machine the speed of Python code changes by up to
-    1.6x within seconds (measured on a 2-vCPU VM whose cores other tenants
-    also load), and that moves every wall-clock number with it.  So every timed step is bracketed by two :func:`reference_ns`
-    samples and its time is scaled by ``NOMINAL_REFERENCE_NS`` over their
-    geometric mean: the numbers read as wall time on a host running at the
-    nominal speed.  ``raw_*`` keeps the unscaled wall-clock totals.
-    """
+class Series:
+    """The timed results of one run at one time base: wall time, or scaled."""
 
     setup_s: List[float] = field(default_factory=list)
-    #: Scaled latencies not yet folded into a p99 window.
+    #: Latencies not yet folded into a p99 window.
     latencies_ns: List[float] = field(default_factory=list)
     #: p99 of each window of ``P99_WINDOW`` consecutive latencies (10 beyond it).
     window_p99_ns: List[float] = field(default_factory=list)
@@ -113,10 +105,35 @@ class Measured:
     rounds: List[Tuple[float, float]] = field(default_factory=list)
     replay_per_s: List[float] = field(default_factory=list)
     recovery_s: List[float] = field(default_factory=list)
+
+    def add_round(self, elapsed_ns: int, deliveries: int, latencies: List[int], scale: float) -> None:
+        times = [latency * scale for latency in latencies]
+        self.samples += len(times)
+        self.latencies_ns.extend(times)
+        while len(self.latencies_ns) >= P99_WINDOW:
+            window = sorted(self.latencies_ns[:P99_WINDOW])
+            del self.latencies_ns[:P99_WINDOW]
+            self.window_p99_ns.append(window[P99_WINDOW - 11])
+        self.rounds.append((deliveries / (elapsed_ns * scale / 1e9), median(times)))
+
+
+@dataclass
+class Measured:
+    """What one workload run measured.
+
+    On a shared virtual machine the speed of Python code changes by up to
+    1.6x within seconds (measured on a 2-vCPU VM whose cores other tenants
+    also load), and that moves every wall-clock number with it.  So every
+    timed step is bracketed by two :func:`reference_ns` samples, and
+    :attr:`scaled` holds its time scaled by ``NOMINAL_REFERENCE_NS`` over
+    their geometric mean: the numbers read as wall time on a host running
+    at the nominal speed.  :attr:`raw` holds the same steps in wall time.
+    """
+
+    scaled: Series = field(default_factory=Series)
+    raw: Series = field(default_factory=Series)
     #: Host slowness (sample / nominal) of each timed step.
     slowness: List[float] = field(default_factory=list)
-    raw_deliveries: int = 0
-    raw_timed_ns: int = 0
     #: Deliveries the reference model expects (the error-rate denominator).
     expected: int = 0
     #: Missing + duplicated + out-of-order deliveries + publishes that raised.
@@ -142,26 +159,23 @@ class Measured:
         return _now()
 
     def add_round(self, elapsed_ns: int, deliveries: int, latencies: List[int]) -> None:
-        self.raw_timed_ns += elapsed_ns
-        self.raw_deliveries += deliveries
-        scale = self._scale()
-        scaled = [latency * scale for latency in latencies]
-        self.samples += len(scaled)
-        self.latencies_ns.extend(scaled)
-        while len(self.latencies_ns) >= P99_WINDOW:
-            window = sorted(self.latencies_ns[:P99_WINDOW])
-            del self.latencies_ns[:P99_WINDOW]
-            self.window_p99_ns.append(window[P99_WINDOW - 11])
-        self.rounds.append((deliveries / (elapsed_ns * scale / 1e9), median(scaled)))
+        self.scaled.add_round(elapsed_ns, deliveries, latencies, self._scale())
+        self.raw.add_round(elapsed_ns, deliveries, latencies, 1.0)
 
     def add_setup(self, elapsed_ns: int) -> None:
-        self.setup_s.append(elapsed_ns * self._scale() / 1e9)
+        scale = self._scale()
+        self.scaled.setup_s.append(elapsed_ns * scale / 1e9)
+        self.raw.setup_s.append(elapsed_ns / 1e9)
 
     def add_recovery(self, elapsed_ns: int) -> None:
-        self.recovery_s.append(elapsed_ns * self._scale() / 1e9)
+        scale = self._scale()
+        self.scaled.recovery_s.append(elapsed_ns * scale / 1e9)
+        self.raw.recovery_s.append(elapsed_ns / 1e9)
 
     def add_replay(self, items: int, elapsed_ns: int) -> None:
-        self.replay_per_s.append(items / (elapsed_ns * self._scale() / 1e9))
+        scale = self._scale()
+        self.scaled.replay_per_s.append(items / (elapsed_ns * scale / 1e9))
+        self.raw.replay_per_s.append(items / (elapsed_ns / 1e9))
 
     def fail(self, count: int, note: str) -> None:
         if count:
@@ -242,6 +256,14 @@ class Offers:
         return events
 
 
+def ring(sizes: Dict[str, Any]) -> Dict[str, Any]:
+    """Binding parameters for a ring history of the workload's fixed size.
+
+    Passed to every interface, so the program's defaults cannot change
+    what a workload retains or scans."""
+    return {"history": "ring", "history_size": sizes["history_size"]}
+
+
 def _deadline(seconds: float) -> int:
     return _now() + int(seconds * 1e9)
 
@@ -263,9 +285,10 @@ class _LocalFanout:
     """One built ``local_fanout`` topology."""
 
     def __init__(self, sizes: Dict[str, Any], rng: random.Random) -> None:
+        self.sizes = sizes
         self.bus = LocalBus()
         engine = TPSEngine(RentalOffer, local_bus=self.bus)
-        self.publisher = engine.new_interface("LOCAL")
+        self.publisher = engine.new_interface("LOCAL", **ring(sizes))
         count = sizes["subscribers"]
         types = list(EVENT_CLASSES) * (count // len(EVENT_CLASSES))
         rng.shuffle(types)
@@ -290,7 +313,7 @@ class _LocalFanout:
 
     def _subscribe(self, index: int) -> Any:
         kind, threshold = self.rules[index]
-        interface = TPSEngine(kind, local_bus=self.bus).new_interface("LOCAL")
+        interface = TPSEngine(kind, local_bus=self.bus).new_interface("LOCAL", **ring(self.sizes))
         inbox = self.inboxes[index]
         if threshold is None:
             interface.subscribe(inbox.append)
@@ -368,7 +391,7 @@ def run_local_fanout(seed: int, seconds: float, sizes: Dict[str, Any], tracer: A
     backlog = sizes["replay_catch_up"]
 
     def replay() -> None:
-        subscriber = replayers[len(measured.replay_per_s) % len(replayers)]
+        subscriber = replayers[len(measured.raw.replay_per_s) % len(replayers)]
         live = offers.make(sizes["replay_live"])
         gc.collect()
         start = measured.begin()
@@ -402,11 +425,11 @@ def run_local_fanout(seed: int, seconds: float, sizes: Dict[str, Any], tracer: A
         elapsed = _now() - began
         measured.add_round(elapsed, topology.check(events, measured), latencies)
         recent.extend(event.shop for event in events)
-        if len(recent) == backlog and len(measured.replay_per_s) < spread_due(
+        if len(recent) == backlog and len(measured.raw.replay_per_s) < spread_due(
             sizes["replay_reps"], deadline, seconds
         ):
             replay()
-    while len(measured.replay_per_s) < sizes["replay_reps"]:
+    while len(measured.raw.replay_per_s) < sizes["replay_reps"]:
         replay()
 
     # Reconnect: close each subscriber once and reopen it, until its first
@@ -608,8 +631,12 @@ class _AsyncStreams:
         self.sizes = sizes
         self.tracer = tracer
         self.bus = AsyncLocalBus()
-        self.publisher = TPSEngine(RentalOffer, local_bus=self.bus).new_interface("ASYNC")
-        self.consumer = TPSEngine(RentalOffer, local_bus=self.bus).new_interface("ASYNC")
+        self.publisher = TPSEngine(RentalOffer, local_bus=self.bus).new_interface(
+            "ASYNC", **ring(sizes)
+        )
+        self.consumer = TPSEngine(RentalOffer, local_bus=self.bus).new_interface(
+            "ASYNC", **ring(sizes)
+        )
         self.inboxes: List[List[Any]] = []
         for _ in range(sizes["coroutine_subscribers"]):
             inbox: List[Any] = []
@@ -649,6 +676,8 @@ class _AsyncStreams:
         this commit a resume that runs while the publisher is suspended on
         the same stream's full buffer yields the entry that publisher held,
         then the resumed range again (a duplicate, out of order).
+        :meth:`resume_drop` calls ``resume`` where no publisher can be
+        suspended.
         """
         every = self.sizes["reconnect_every"]
         keep = self.consumed.append
@@ -662,7 +691,7 @@ class _AsyncStreams:
             keep(event.shop)
             self.consumed_total += 1
             if self.consumed_total % every == 0:
-                with self.tracer.span(ASYNC_RESUME):
+                with self.tracer.span(ASYNC_REOPEN):
                     self.block.close()
                     self.block = self._open_block(self.consumed_total)
 
@@ -670,6 +699,25 @@ class _AsyncStreams:
         items = len(self.drop.drain())
         self.drained += items
         return items
+
+    async def resume_drop(self, measured: Measured) -> None:
+        """``await resume(n)`` on the drop_oldest stream, ``resume_back`` offsets back.
+
+        That stream's ``_enqueue`` never suspends, so no publisher holds an
+        entry across the resume.  The stream is drained first; the resume
+        must then yield exactly the offsets from n on, and those re-read
+        items count neither as drained nor as dropped.
+        """
+        self.burst()
+        back = self.sizes["resume_back"]
+        await self.drop.resume(self.consumer.history_offset - back)
+        yielded = [event.shop for event in self.drop.drain()]
+        expected = list(self.recent)[-back:]
+        measured.expected += len(expected)
+        measured.fail(
+            mismatches(expected, yielded),
+            "resumed drop_oldest stream did not yield exactly the offsets after its resume point",
+        )
 
     def check(self, events: Sequence[Any], measured: Measured) -> int:
         """Check the coroutine subscribers and the block stream so far."""
@@ -743,9 +791,11 @@ async def _run_async_streams(seed: int, seconds: float, sizes: Dict[str, Any], t
         while stream.offset < consumer.history_offset:
             await asyncio.sleep(0)
         yielded = stream.drain()
-        for event in live:
+        for count, event in enumerate(live, 1):
             await publish(event)
             yielded.extend(stream.drain())
+            if count % burst_every == 0:
+                topology.burst()
         elapsed = _now() - start
         stream.close()
         measured.add_replay(len(yielded), elapsed)
@@ -757,6 +807,7 @@ async def _run_async_streams(seed: int, seconds: float, sizes: Dict[str, Any], t
         )
         topology.check(live, measured)
 
+    resumes = 0
     gc.collect()
     deadline = _deadline(seconds)
     while _now() < deadline and not tracer.full:
@@ -774,20 +825,24 @@ async def _run_async_streams(seed: int, seconds: float, sizes: Dict[str, Any], t
         delivered = topology.check(events, measured)
         delivered += topology.drained - drained_before
         measured.add_round(elapsed, delivered, latencies)
-        if len(topology.recent) == backlog and len(measured.replay_per_s) < spread_due(
+        if topology.published >= (resumes + 1) * sizes["reconnect_every"]:
+            resumes += 1
+            await topology.resume_drop(measured)
+        if len(topology.recent) == backlog and len(measured.raw.replay_per_s) < spread_due(
             sizes["replay_reps"], deadline, seconds
         ):
             await replay()
-    while len(measured.replay_per_s) < sizes["replay_reps"]:
+    while len(measured.raw.replay_per_s) < sizes["replay_reps"]:
         await replay()
     tracer.counts["stream_dropped"] += topology.drop.dropped
+    tracer.counts["stream_published"] += topology.published
     await topology.close(measured)
 
     # Reconnect: close a coroutine subscriber's interface and open it again,
     # until its first delivery.  One reconnect takes tens of microseconds,
     # so each sample times a group of them.
     bus = AsyncLocalBus()
-    publisher = TPSEngine(RentalOffer, local_bus=bus).new_interface("ASYNC")
+    publisher = TPSEngine(RentalOffer, local_bus=bus).new_interface("ASYNC", **ring(sizes))
     interface = None
     group = sizes["reconnect_group"]
     gc.collect()
@@ -804,7 +859,7 @@ async def _run_async_streams(seed: int, seconds: float, sizes: Dict[str, Any], t
             if interface is not None:
                 interface.close()
                 closed.append(interface)
-            interface = TPSEngine(RentalOffer, local_bus=bus).new_interface("ASYNC")
+            interface = TPSEngine(RentalOffer, local_bus=bus).new_interface("ASYNC", **ring(sizes))
             interface.subscribe(receive)
             await publisher.publish(event)
         measured.add_recovery((_now() - start) // group)
