@@ -350,13 +350,6 @@ class AsyncEventStream(StreamCore):
         self._not_full: "deque[asyncio.Future]" = deque()
         #: Task idents that have consumed (get/drain); see _on_event.
         self._consumer_tasks: "set[int]" = set()
-        #: Serialises cursor-mode pulls (the asyncio twin of EventStream's
-        #: ``_pump_mutex``): entries enter the buffer in offset order even
-        #: when a pull suspends mid-batch on ``"block"`` backpressure.
-        self._pump_mutex = asyncio.Lock()
-        #: The construction-time backlog pull runs as a task (StreamCore's
-        #: __init__ is synchronous); tracked so _shutdown can cancel it.
-        self._prefill: Optional[asyncio.Task] = None
 
     @staticmethod
     def _wake_one(waiters: Any) -> None:
@@ -384,37 +377,66 @@ class AsyncEventStream(StreamCore):
         await self._enqueue(event)
 
     async def _pump(self) -> None:
-        async with self._pump_mutex:
-            while True:
-                if self._closed:
+        """Publisher-side pull: a full ``"block"`` buffer suspends the caller.
+
+        A suspended publisher holds no entry (``_fill`` stops *before*
+        claiming one), so whatever ran meanwhile -- consumer pulls, a
+        ``resume`` -- it simply refills from the current cursor on waking.
+        """
+        try:
+            while self._fill():
+                if self._consumer_tasks == {_task_ident()}:
+                    # The publishing task is this stream's only consumer:
+                    # suspending it could never be woken.  The rest stays
+                    # held for its next get()/drain().
                     return
-                entries = self._source.since(self._cursor)
-                if not entries:
-                    return
-                for offset, event, _ in entries:
-                    if self._closed:
-                        return
-                    # Advance before filtering, same rationale as the
-                    # threaded EventStream._pump: a raising predicate
-                    # consumes its entry instead of wedging the cursor.
-                    self._cursor = offset + 1
-                    predicate = self._pull_predicate
-                    if predicate is not None and not predicate(event):
-                        continue
-                    await self._enqueue(event)
+                waiter = self._loop.create_future()
+                self._not_full.append(waiter)
+                await waiter
+        finally:
+            if self._held:
+                # Left entries behind (a raising predicate, cancellation):
+                # let sleeping consumers pull them.
+                self._wake_all(self._not_empty)
+
+    def _fill(self) -> bool:
+        """Move entries past the cursor into the buffer until it is full.
+
+        Synchronous, so it runs atomically on the loop: publishers and
+        consumers may all call it, and entries still enter the buffer in
+        offset order.  Returns True when entries are left over because a
+        ``"block"`` buffer filled up.  Each entry is claimed (cursor
+        advanced) before the predicate runs, so a raising predicate consumes
+        its entry instead of wedging the cursor.
+        """
+        held = self._held
+        predicate = self._pull_predicate
+        while not self._closed:
+            if not held:
+                held.extend(self._source.since(self._cursor))
+                if not held:
+                    return False
+            if self._full():
+                return True
+            offset, event, _ = held.popleft()
+            self._cursor = offset + 1
+            if predicate is None or predicate(event):
+                self._append(event)
+        return False
 
     def _replay(self) -> None:
-        # StreamCore.__init__ is synchronous; pull the backlog as a task on
-        # the owning loop (consumers created before it runs simply wait).
-        self._prefill = self._loop.create_task(self._pump())
+        self._fill()
 
     async def resume(self, offset: int) -> "AsyncEventStream":
         """Reposition a resumable stream's cursor and pull immediately.
 
         The awaitable twin of :meth:`EventStream.resume
         <repro.core.subscriptions.EventStream.resume>`: buffered events are
-        discarded, the cursor moves to ``offset`` and the retained history
-        from there is pulled before this coroutine returns.
+        discarded, the cursor moves to ``offset`` and the stream then yields
+        exactly the retained history from there, in order.  Never suspends:
+        a publisher parked on a full ``"block"`` buffer holds no entry and
+        refills from the new cursor when it wakes, and a backlog larger than
+        ``maxsize`` is pulled as the consumer makes room.
         """
         self._interface._check_loop("stream resume")
         if self._source is None:
@@ -425,38 +447,40 @@ class AsyncEventStream(StreamCore):
         if self._closed:
             raise PSException("the event stream is closed")
         self._buffer.clear()
-        self._wake_all(self._not_full)
+        self._held.clear()
         self._cursor = max(0, offset)
-        await self._pump()
+        self._wake_all(self._not_full)
+        self._fill()
         return self
 
     async def _enqueue(self, event: Any) -> None:
         if self._closed:
             return
+        while self._full() and not self._closed:
+            if self._consumer_tasks == {_task_ident()}:
+                # The publishing task is this stream's only consumer so far:
+                # suspending it on _not_full could never be woken.  Same
+                # deliberate heuristic -- and the same trade-offs -- as the
+                # threaded EventStream: raise into the subscription's error
+                # route instead of deadlocking the loop's task.
+                raise PSException(
+                    "AsyncEventStream deadlock: the publishing task "
+                    "is this stream's only consumer and the buffer "
+                    "is full; drain the stream first, consume from "
+                    "another task, or choose policy='drop_oldest'"
+                )
+            waiter = self._loop.create_future()
+            self._not_full.append(waiter)
+            await waiter
+        if self._closed:
+            return
+        self._append(event)
+
+    def _append(self, event: Any) -> None:
         if self.maxsize and len(self._buffer) >= self.maxsize:
-            if self.policy == "drop_oldest":
-                self._buffer.popleft()
-                self._dropped += 1
-            else:
-                while len(self._buffer) >= self.maxsize and not self._closed:
-                    if self._consumer_tasks == {_task_ident()}:
-                        # The publishing task is this stream's only consumer
-                        # so far: suspending it on _not_full could never be
-                        # woken.  Same deliberate heuristic -- and the same
-                        # trade-offs -- as the threaded EventStream: raise
-                        # into the subscription's error route instead of
-                        # deadlocking the loop's task.
-                        raise PSException(
-                            "AsyncEventStream deadlock: the publishing task "
-                            "is this stream's only consumer and the buffer "
-                            "is full; drain the stream first, consume from "
-                            "another task, or choose policy='drop_oldest'"
-                        )
-                    waiter = self._loop.create_future()
-                    self._not_full.append(waiter)
-                    await waiter
-                if self._closed:
-                    return
+            # Only "drop_oldest" gets here full ("block" waited for room).
+            self._buffer.popleft()
+            self._dropped += 1
         self._buffer.append(event)
         self._wake_one(self._not_empty)
 
@@ -479,6 +503,11 @@ class AsyncEventStream(StreamCore):
                 return event
             if self._closed:
                 raise PSException("the event stream is closed and empty")
+            if self._held:
+                # Cursor mode: take what a full buffer left behind (after
+                # which the buffer holds something or nothing is held).
+                self._fill()
+                continue
             waiter = self._loop.create_future()
             self._not_empty.append(waiter)
             if deadline is None:
@@ -499,6 +528,8 @@ class AsyncEventStream(StreamCore):
         """Remove and return everything currently buffered (never suspends)."""
         self._interface._check_loop("stream drain")
         self._consumer_tasks.add(_task_ident())
+        if self._held:
+            self._fill()
         events = list(self._buffer)
         self._buffer.clear()
         self._wake_all(self._not_full)
@@ -532,8 +563,6 @@ class AsyncEventStream(StreamCore):
         if self._closed:
             return False
         self._closed = True
-        if self._prefill is not None and not self._prefill.done():
-            self._prefill.cancel()
         self._wake_all(self._not_empty)
         self._wake_all(self._not_full)
         return True

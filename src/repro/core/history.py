@@ -28,6 +28,14 @@ on arbitrary publisher threads (the route rows cache the bound ``append``
 exactly as they cached ``list.append``), so :class:`RingHistory` guards its
 deque and offset counter with one small lock; reads take the same lock and
 copy.  No store method ever calls out into user code under its lock.
+
+Read cost: ``since(offset)`` costs what it returns.  A ring's retained
+entries are offset-dense (appends are serialised under the lock; eviction
+and :meth:`RingHistory.clear` only ever drop the oldest ones), so the
+entries at or after ``offset`` are exactly the newest ``next_offset -
+offset`` of them, taken from the right of the deque with no per-entry
+comparison.  The log store seeks straight to its first wanted record; see
+:mod:`repro.storage.log` for its cost model.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from __future__ import annotations
 import abc
 import threading
 from collections import deque
+from itertools import islice
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.bindings import BindingParam
@@ -137,8 +146,18 @@ class RingHistory(HistoryStore):
             return [event for _, event, _ in self._entries]
 
     def since(self, offset: int) -> List[Tuple[int, Any, Any]]:
+        # Retained offsets are exactly [next - len, next): the wanted
+        # entries are the newest ``next - offset`` ones.
         with self._lock:
-            return [entry for entry in self._entries if entry[0] >= offset]
+            entries = self._entries
+            wanted = self._next - offset
+            if wanted <= 0:
+                return []
+            if wanted >= len(entries):
+                return list(entries)
+            newest = list(islice(reversed(entries), wanted))
+        newest.reverse()
+        return newest
 
     def __len__(self) -> int:
         with self._lock:

@@ -423,6 +423,13 @@ class StreamCore:
         self._source = source
         self._cursor = max(0, from_offset or 0)
         self._pull_predicate = predicate if source is not None else None
+        #: Entries read from the store but not yet buffered (a pull stopped
+        #: on a full ``"block"`` buffer, or ``resume`` rewound the cursor);
+        #: the next pull starts with them, so a backlog is read once however
+        #: many pulls it takes to buffer.  Everything else past the cursor
+        #: is pulled by the wake its own append triggers, so consumers pull
+        #: only while this is non-empty.
+        self._held: "deque[Tuple[int, Any, Any]]" = deque()
         self._init_waiters()
         subscription = interface._subscribe_one(
             self._on_event,
@@ -446,8 +453,13 @@ class StreamCore:
         raise NotImplementedError
 
     def _replay(self) -> Any:
-        """Pull the backlog of a cursor-mode stream at construction/resume."""
+        """Pull the backlog of a cursor-mode stream at construction."""
         raise NotImplementedError
+
+    def _full(self) -> bool:
+        """Whether a ``"block"`` buffer is at ``maxsize`` (``"drop_oldest"``
+        never is: it makes room by dropping)."""
+        return self.policy == "block" and 0 < self.maxsize <= len(self._buffer)
 
     def _shutdown(self) -> bool:
         """Flip the closed flag and wake all waiters; False when already closed."""
@@ -528,12 +540,17 @@ class EventStream(StreamCore):
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
-        #: Serialises cursor-mode pulls end to end: entries must enter the
-        #: buffer in offset order, and a wake blocked mid-batch on a full
-        #: ``"block"`` buffer must not be overtaken by a later wake.  Held
-        #: outside ``_lock`` only (pump -> buffer lock, never the reverse),
-        #: so no ordering cycle with consumers, which take ``_lock`` alone.
-        self._pump_mutex = threading.Lock()
+        #: True while one thread runs a cursor-mode pull: pulls are
+        #: serialised end to end, so entries enter the buffer in offset
+        #: order.  Publishers wait for ``_pull_done``; consumers only pull
+        #: when nobody else is.  Ending a pull broadcasts ``_not_empty``, so
+        #: a consumer that found a pull running and went to sleep retries
+        #: its own.
+        self._pulling = False
+        self._pull_done = threading.Condition(self._lock)
+        #: Bumped by ``resume``: a pull whose predicate was running on an
+        #: entry claimed before the resume drops it instead of buffering it.
+        self._epoch = 0
         #: Idents of every thread that has consumed (get/drain), used to
         #: refuse a ``"block"`` wait that can never be woken (see _on_event).
         self._consumer_idents: "set[int]" = set()
@@ -552,34 +569,79 @@ class EventStream(StreamCore):
             self._enqueue_locked(event)
 
     def _pump(self) -> None:
-        with self._pump_mutex:
-            while True:
+        """Publisher-side pull: a full ``"block"`` buffer parks the caller."""
+        with self._lock:
+            while self._pulling and not self._closed:
+                self._pull_done.wait()
+            if self._closed:
+                return
+            self._pulling = True
+        try:
+            while self._fill():
                 with self._lock:
-                    if self._closed:
+                    if self._consumer_idents == {threading.get_ident()}:
+                        # The publishing thread is this stream's only
+                        # consumer: parking it could never be woken.  The
+                        # rest stays held for its next get()/drain().
                         return
-                    entries = self._source.since(self._cursor)
-                if not entries:
-                    return
-                for offset, event, _ in entries:
-                    with self._lock:
-                        if self._closed:
-                            return
-                        # Advance before filtering: a predicate that raises
-                        # consumes its entry (the error is routed to the
-                        # subscription's exception handler, exactly like a
-                        # raising pushed-down predicate) instead of wedging
-                        # the cursor on it forever.
-                        self._cursor = offset + 1
-                    predicate = self._pull_predicate
-                    if predicate is not None and not predicate(event):
-                        continue
-                    with self._lock:
-                        if self._closed:
-                            return
+                    while self._full() and not self._closed:
+                        self._not_full.wait()
+        finally:
+            self._end_pull()
+
+    def _fill(self) -> bool:
+        """Move entries past the cursor into the buffer until it is full.
+
+        The caller set ``_pulling``.  Returns True when entries are
+        left over because a ``"block"`` buffer filled up.  Each entry is
+        claimed (cursor advanced) before the predicate runs outside the
+        lock -- a raising predicate consumes its entry instead of wedging
+        the cursor -- and is dropped, not buffered, when ``resume`` bumped
+        the epoch meanwhile.
+        """
+        predicate = self._pull_predicate
+        while True:
+            with self._lock:
+                if self._closed:
+                    return False
+                held = self._held
+                if not held:
+                    held.extend(self._source.since(self._cursor))
+                    if not held:
+                        return False
+                if self._full():
+                    return True
+                offset, event, _ = held.popleft()
+                self._cursor = offset + 1
+                if predicate is None:
+                    self._enqueue_locked(event)
+                    continue
+                epoch = self._epoch
+            if predicate(event):
+                with self._lock:
+                    if self._epoch == epoch and not self._closed:
                         self._enqueue_locked(event)
 
+    def _end_pull(self) -> None:
+        with self._lock:
+            self._pulling = False
+            self._pull_done.notify()
+            self._not_empty.notify_all()
+
+    def _try_fill(self) -> None:
+        """Consumer-side pull: top the buffer up unless a pull is running
+        (which then delivers ``_held`` and the history past the cursor)."""
+        with self._lock:
+            if self._pulling:
+                return
+            self._pulling = True
+        try:
+            self._fill()
+        finally:
+            self._end_pull()
+
     def _replay(self) -> None:
-        self._pump()
+        self._try_fill()
 
     def resume(self, offset: int) -> "EventStream":
         """Reposition a resumable stream's cursor and pull immediately.
@@ -587,8 +649,13 @@ class EventStream(StreamCore):
         Only streams created with ``from_offset=`` are resumable.  Anything
         currently buffered is discarded (the buffer would otherwise replay
         on top of the re-pulled entries and duplicate them); the stream then
-        holds exactly the retained history at or after ``offset`` and keeps
-        following live events from there.  Returns the stream.
+        yields exactly the retained history at or after ``offset``, in
+        order, and keeps following live events from there.  A publisher
+        parked on a full ``"block"`` buffer holds no entry and refills from
+        the new cursor; one running the pull predicate on an entry claimed
+        before the resume drops that entry.  A backlog larger than
+        ``maxsize`` is pulled as the consumer makes room, so resuming never
+        waits for the publisher.  Returns the stream.
         """
         if self._source is None:
             raise PSException(
@@ -599,9 +666,13 @@ class EventStream(StreamCore):
             if self._closed:
                 raise PSException("the event stream is closed")
             self._buffer.clear()
-            self._not_full.notify_all()
+            self._epoch += 1
             self._cursor = max(0, offset)
-        self._pump()
+            # Loaded here, not left to whichever pull runs next: a pull
+            # already past its last ``since`` would otherwise miss the range.
+            self._held = deque(self._source.since(self._cursor))
+            self._not_full.notify_all()
+        self._try_fill()
         return self
 
     def _enqueue_locked(self, event: Any) -> None:
@@ -652,24 +723,43 @@ class EventStream(StreamCore):
         """Remove and return the next event, waiting for one if necessary.
 
         Raises :class:`PSException` when the stream is closed and empty, or
-        when ``timeout`` (seconds) elapses without an event.
+        when ``timeout`` (seconds) elapses without an event.  A cursor-mode
+        stream with an empty buffer first pulls the entries a full buffer
+        left behind (see :meth:`resume`).
         """
-        with self._not_empty:
-            self._consumer_idents.add(threading.get_ident())
-            if not self._buffer and not self._closed:
-                self._not_empty.wait_for(
-                    lambda: self._buffer or self._closed, timeout=timeout
-                )
-            if self._buffer:
-                event = self._buffer.popleft()
-                self._not_full.notify()
-                return event
-            if self._closed:
-                raise PSException("the event stream is closed and empty")
-            raise PSException(f"no event arrived within {timeout} seconds")
+        deadline = None if timeout is None else monotonic_clock() + timeout
+        while True:
+            with self._lock:
+                self._consumer_idents.add(threading.get_ident())
+                if self._buffer:
+                    event = self._buffer.popleft()
+                    self._not_full.notify()
+                    return event
+                if self._closed:
+                    raise PSException("the event stream is closed and empty")
+                pull = bool(self._held) and not self._pulling
+                if pull:
+                    self._pulling = True
+                else:
+                    remaining = None if deadline is None else deadline - monotonic_clock()
+                    if remaining is not None and remaining <= 0:
+                        raise PSException(f"no event arrived within {timeout} seconds")
+                    self._not_empty.wait(remaining)
+            if pull:
+                try:
+                    self._fill()
+                finally:
+                    self._end_pull()
 
     def drain(self) -> List[Any]:
-        """Remove and return everything currently buffered (never blocks)."""
+        """Remove and return everything currently buffered (never blocks).
+
+        A cursor-mode stream first tops its buffer up with the entries a
+        full buffer left behind, so a ``"block"`` stream hands out at most
+        ``maxsize`` events per call.
+        """
+        if self._held:
+            self._try_fill()
         with self._lock:
             self._consumer_idents.add(threading.get_ident())
             events = list(self._buffer)
@@ -718,6 +808,7 @@ class EventStream(StreamCore):
             self._closed = True
             self._not_empty.notify_all()
             self._not_full.notify_all()
+            self._pull_done.notify_all()
         return True
 
 

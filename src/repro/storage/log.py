@@ -20,20 +20,33 @@ longer decodes, is dropped along with everything after it, so the store
 always reopens to a prefix of complete records (``recovered_records`` /
 ``truncated_bytes`` report what recovery found).
 
-Reads (``snapshot``/``since``) flush the write buffer and scan the file with
-an independent descriptor, skipping unwanted records header-by-header; they
-keep working after ``close()`` -- the paper's contract that a closed
-interface still answers its history queries extends to the durable store.
+Reads (``snapshot``/``since``) flush the write buffer and read the file
+with an independent descriptor; they keep working after ``close()`` -- the
+paper's contract that a closed interface still answers its history queries
+extends to the durable store.
 
-In-memory footprint is O(1): the store keeps only counters, never the
-records, so a ``history="log"`` engine honours the "no engine's in-memory
-history grows beyond its configured bound" guarantee trivially.
+Read cost: ``since(offset)`` costs what it returns.  The store keeps a
+running byte size and a fixed-size ring of the start positions of the
+newest ``TAIL_INDEX`` records (filled by ``append`` and by the recovery
+scan), so a read anywhere in that tail seeks straight to its first record
+and reads exactly the wanted bytes in one call; ``offset >= next_offset``
+returns ``[]`` without opening the file.  Sequential followers -- any
+number of them, at any cursors inside the tail -- therefore pay
+O(returned).  A cold read older than the tail header-skips once, from the
+nearest known record boundary at or before ``offset``: the file start, or
+the first record of the previous cold read.
+
+In-memory footprint is O(1): the store keeps counters and the fixed-size
+tail index, never the records, so a ``history="log"`` engine honours the
+"no engine's in-memory history grows beyond its configured bound"
+guarantee trivially.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from array import array
 from typing import Any, Callable, List, Tuple
 
 from repro.core.exceptions import PSException
@@ -44,6 +57,11 @@ _HEADER_SIZE = 4
 
 #: Default group-commit batch: fsync once per this many appends.
 DEFAULT_FSYNC_EVERY = 64
+
+#: Records whose start positions the tail index keeps: the same window as
+#: the default ring history, so any catch-up a ring store could answer the
+#: log answers with one seek (8 bytes a record, 32 KiB a store).
+TAIL_INDEX = 4096
 
 
 class LogHistory(HistoryStore):
@@ -71,36 +89,46 @@ class LogHistory(HistoryStore):
         self.recovered_records = 0
         #: Torn-tail bytes dropped by crash recovery on open.
         self.truncated_bytes = 0
-        self._next = self._recover()
+        #: Start position of record ``o`` at slot ``o % TAIL_INDEX``; valid
+        #: for the newest ``TAIL_INDEX`` records.
+        self._starts = array("q", bytes(8 * TAIL_INDEX))
+        #: ``(offset, position)`` of the first record of the last cold read:
+        #: a known boundary older than the tail index.
+        self._hint = (0, 0)
+        #: Bumped by ``clear``: a read racing it must not record a hint.
+        self._generation = 0
+        self._next, self._size = self._recover()
         self._writer = open(self.path, "ab")
 
     # ------------------------------------------------------------- recovery
 
-    def _recover(self) -> int:
-        """Scan the file, truncate any torn tail, return the record count."""
+    def _recover(self) -> Tuple[int, int]:
+        """Scan the file, truncate any torn tail, index the newest record
+        starts; return the record count and the byte size kept."""
         try:
             size = os.path.getsize(self.path)
         except OSError:
-            return 0
+            return 0, 0
+        starts = self._starts
         records = 0
         good_end = 0
         last_start = 0
         last_payload = b""
         with open(self.path, "rb") as segment:
+            read = segment.read
             while True:
-                start = segment.tell()
-                header = segment.read(_HEADER_SIZE)
+                header = read(_HEADER_SIZE)
                 if len(header) < _HEADER_SIZE:
                     break  # clean EOF, or a torn length prefix
                 length = int.from_bytes(header, "big")
                 if length <= 0:
                     break  # a zeroed/corrupt header can only be a torn write
-                payload = segment.read(length)
+                payload = read(length)
                 if len(payload) < length:
                     break  # torn payload
+                starts[records % TAIL_INDEX] = last_start = good_end
                 records += 1
-                good_end = segment.tell()
-                last_start = start
+                good_end += _HEADER_SIZE + length
                 last_payload = payload
         if records:
             # A tail record can be structurally complete yet undecodable
@@ -117,7 +145,7 @@ class LogHistory(HistoryStore):
         if good_end < size:
             with open(self.path, "r+b") as segment:
                 segment.truncate(good_end)
-        return records
+        return records, good_end
 
     # -------------------------------------------------------------- writing
 
@@ -126,13 +154,15 @@ class LogHistory(HistoryStore):
         with self._lock:
             if self._closed:
                 raise PSException(f"the history log {self.path!r} is closed")
-            self._writer.write(len(payload).to_bytes(_HEADER_SIZE, "big"))
-            self._writer.write(payload)
+            length = len(payload)
+            self._writer.write(length.to_bytes(_HEADER_SIZE, "big") + payload)
             self._pending += 1
             if self._pending >= self.fsync_every:
                 self._sync_locked()
             offset = self._next
             self._next = offset + 1
+            self._starts[offset % TAIL_INDEX] = self._size
+            self._size += _HEADER_SIZE + length
             return offset
 
     def _sync_locked(self) -> None:
@@ -149,31 +179,47 @@ class LogHistory(HistoryStore):
     # -------------------------------------------------------------- reading
 
     def since(self, offset: int) -> List[Tuple[int, Any, Any]]:
+        offset = max(0, offset)
         with self._lock:
+            end = self._next
+            if offset >= end:
+                return []
             if not self._closed:
                 # Make buffered appends visible to the reading descriptor;
                 # no fsync needed for same-process reads.
                 self._writer.flush()
-            end = self._next
-        entries: List[Tuple[int, Any, Any]] = []
-        if offset >= end:
-            return entries
+            size = self._size
+            if end - offset <= TAIL_INDEX:
+                index, position = offset, self._starts[offset % TAIL_INDEX]
+            else:
+                index, position = self._hint if self._hint[0] <= offset else (0, 0)
+            generation = self._generation
         with open(self.path, "rb") as segment:
-            index = 0
-            while index < end:
-                header = segment.read(_HEADER_SIZE)
-                if len(header) < _HEADER_SIZE:
-                    break
-                length = int.from_bytes(header, "big")
-                if index < offset:
-                    segment.seek(length, os.SEEK_CUR)
-                else:
-                    payload = segment.read(length)
-                    if len(payload) < length:
-                        break
-                    event, meta = self._decode(payload)
-                    entries.append((index, event, meta))
-                index += 1
+            segment.seek(position)
+            if index < offset:
+                # Cold read older than the tail index: header-skip from the
+                # nearest known boundary, then remember where we landed.
+                while index < offset:
+                    header = segment.read(_HEADER_SIZE)
+                    if len(header) < _HEADER_SIZE:
+                        return []
+                    position = segment.seek(int.from_bytes(header, "big"), os.SEEK_CUR)
+                    index += 1
+                with self._lock:
+                    if self._generation == generation:
+                        self._hint = (offset, position)
+            data = segment.read(size - position)
+        entries: List[Tuple[int, Any, Any]] = []
+        decode = self._decode
+        cursor = 0
+        while index < end:
+            start = cursor + _HEADER_SIZE
+            cursor = start + int.from_bytes(data[cursor:start], "big")
+            if cursor > len(data):
+                break  # a concurrent clear() truncated the file under us
+            event, meta = decode(data[start:cursor])
+            entries.append((index, event, meta))
+            index += 1
         return entries
 
     def snapshot(self) -> List[Any]:
@@ -209,6 +255,9 @@ class LogHistory(HistoryStore):
             self._writer.seek(0)
             self._pending = 0
             self._next = 0
+            self._size = 0
+            self._hint = (0, 0)
+            self._generation += 1
 
     def close(self) -> None:
         """Flush, fsync and close the writer; reads keep working."""
@@ -223,4 +272,4 @@ class LogHistory(HistoryStore):
         return f"LogHistory({self.path!r}, records={len(self)})"
 
 
-__all__ = ["DEFAULT_FSYNC_EVERY", "LogHistory"]
+__all__ = ["DEFAULT_FSYNC_EVERY", "LogHistory", "TAIL_INDEX"]
