@@ -427,10 +427,10 @@ def _seed_publish(publisher: LocalTPSEngine, event: Any) -> "PublishReceipt":
         for subscription in list(manager._subscriptions):
             try:
                 subscription.callback.handle(copy)
-            except BaseException as error:  # noqa: BLE001 - routed to the handler
+            except Exception as error:  # noqa: BLE001 - routed to the handler
                 try:
                     subscription.exception_handler.handle(error)
-                except BaseException:  # noqa: BLE001  # repro-lint: disable=RL005 - raw-dispatch baseline mirrors engine swallow
+                except Exception:  # noqa: BLE001  # repro-lint: disable=RL005 - raw-dispatch baseline mirrors engine swallow
                     pass
         delivered += 1
     publisher._sent.append(event)

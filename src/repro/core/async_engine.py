@@ -54,6 +54,7 @@ import asyncio
 import inspect
 import threading
 import weakref
+from collections import deque
 from typing import Any, Awaitable, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.core.bindings import BindingParam, BindingRequest, register_binding
@@ -65,7 +66,7 @@ from repro.core.history import (
 )
 from repro.core.interface import PublishReceipt, Subscription, TPSInterfaceCore
 from repro.core.subscriber import TPSSubscriberManager
-from repro.core.subscriptions import StreamCore
+from repro.core.subscriptions import _DONE, _FULL, StreamCore
 from repro.core.type_registry import Criteria, TypeRegistry, type_name
 from repro.serialization.object_codec import ObjectCodec
 
@@ -264,6 +265,9 @@ class AsyncLocalBus:
         predicate/callback records the failure and routes to the exception
         handler.  A coroutine callback (or coroutine error handler) is
         awaited; its exceptions surface here exactly like a sync raise.
+        Control-flow exceptions (``CancelledError``, ``KeyboardInterrupt``,
+        ``SystemExit``) are not subscriber errors: they reach the publisher
+        uncharged to the breaker.
         """
         handle, handle_error, predicate, breaker = row
         try:
@@ -276,14 +280,14 @@ class AsyncLocalBus:
                 await result
             if breaker is not None:
                 breaker.record_success()
-        except BaseException as error:  # noqa: BLE001 - routed to the handler
+        except Exception as error:  # noqa: BLE001 - routed to the handler
             if breaker is not None:
                 breaker.record_failure()
             try:
                 routed = handle_error(error)
                 if inspect.isawaitable(routed):
                     await routed
-            except BaseException:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken error handler must not stop dispatch
+            except Exception:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken error handler must not stop dispatch
                 pass
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -294,14 +298,71 @@ class AsyncLocalBus:
         )
 
 
+class _Waiters:
+    """Tasks parked on one condition of a loop-confined stream.
+
+    The loop-bound counterpart of a ``threading.Condition``: ``notify``
+    wakes the longest-parked waiter, ``notify_all`` every waiter, and
+    ``await wait(timeout)`` parks the calling task until it is woken or
+    ``timeout`` seconds pass.  A waiter leaves the queue however its wait
+    ends: a wake-up takes it off, and one that times out or is cancelled
+    removes itself.  One cancelled after being woken hands the wake-up on,
+    so no waiter is left parked and no wake-up is lost.
+    """
+
+    __slots__ = ("_loop", "_futures")
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._loop = loop
+        self._futures: "deque[asyncio.Future]" = deque()
+
+    def __len__(self) -> int:
+        """How many tasks are parked right now."""
+        return len(self._futures)
+
+    def notify(self) -> None:
+        futures = self._futures
+        while futures:
+            future = futures.popleft()
+            if not future.done():
+                future.set_result(None)
+                return
+
+    def notify_all(self) -> None:
+        futures = self._futures
+        while futures:
+            future = futures.popleft()
+            if not future.done():
+                future.set_result(None)
+
+    async def wait(self, timeout: Optional[float] = None) -> None:
+        future = self._loop.create_future()
+        self._futures.append(future)
+        try:
+            if timeout is None:
+                await future
+            else:
+                await asyncio.wait((future,), timeout=timeout)
+        except BaseException:
+            if future.done() and not future.cancelled():
+                self.notify()  # woken, then cancelled: pass the wake-up on
+            raise
+        finally:
+            if future in self._futures:
+                # Timed out or cancelled while parked; a wake-up already
+                # took the waiter off the queue.
+                self._futures.remove(future)
+
+
 class AsyncEventStream(StreamCore):
     """Pull-style consumption over the ASYNC binding: ``async for``-able.
 
-    The same :class:`~repro.core.subscriptions.StreamCore` contract as the
-    threaded :class:`~repro.core.subscriptions.EventStream` -- arrival-order
-    buffer, ``maxsize``, ``policy="block"|"drop_oldest"``, :attr:`dropped`
-    counter, close-wakes-everyone -- with waiting expressed as futures on
-    the owning loop instead of condition variables:
+    The same :class:`~repro.core.subscriptions.StreamCore` state machine as
+    the threaded :class:`~repro.core.subscriptions.EventStream` --
+    arrival-order buffer, ``maxsize``, ``policy="block"|"drop_oldest"``,
+    :attr:`dropped` counter, close-wakes-everyone -- with every step confined
+    to the owning loop instead of run under a lock, and waiting expressed as
+    parked tasks instead of condition variables:
 
     * ``async for event in stream`` (or ``await stream.get(timeout=...)``)
       suspends the consuming task until an event arrives or the stream
@@ -319,52 +380,12 @@ class AsyncEventStream(StreamCore):
     scope the stream.
     """
 
-    def __init__(
-        self,
-        interface: "AsyncTPSEngine",
-        *,
-        maxsize: int = 0,
-        policy: str = "block",
-        predicate: Optional[Callable[[Any], bool]] = None,
-        exception_handler: Optional[Any] = None,
-        source: Optional[Any] = None,
-        from_offset: Optional[int] = None,
-    ) -> None:
-        # _init_waiters needs the loop, so bind it before StreamCore's
-        # __init__ subscribes (after which _on_event may run immediately).
-        self._loop = interface.bus.loop
-        super().__init__(
-            interface,
-            maxsize=maxsize,
-            policy=policy,
-            predicate=predicate,
-            exception_handler=exception_handler,
-            source=source,
-            from_offset=from_offset,
-        )
+    _ident = staticmethod(_task_ident)
 
     def _init_waiters(self) -> None:
-        from collections import deque
-
-        self._not_empty: "deque[asyncio.Future]" = deque()
-        self._not_full: "deque[asyncio.Future]" = deque()
-        #: Task idents that have consumed (get/drain); see _on_event.
-        self._consumer_tasks: "set[int]" = set()
-
-    @staticmethod
-    def _wake_one(waiters: Any) -> None:
-        while waiters:
-            future = waiters.popleft()
-            if not future.done():
-                future.set_result(None)
-                return
-
-    @staticmethod
-    def _wake_all(waiters: Any) -> None:
-        while waiters:
-            future = waiters.popleft()
-            if not future.done():
-                future.set_result(None)
+        self._loop = self._interface.bus.loop
+        self._not_empty = _Waiters(self._loop)
+        self._not_full = _Waiters(self._loop)
 
     # ------------------------------------------------------------- producer
 
@@ -379,25 +400,22 @@ class AsyncEventStream(StreamCore):
     async def _pump(self) -> None:
         """Publisher-side pull: a full ``"block"`` buffer suspends the caller.
 
-        A suspended publisher holds no entry (``_fill`` stops *before*
+        A suspended publisher holds no entry (``_claim`` stops *before*
         claiming one), so whatever ran meanwhile -- consumer pulls, a
         ``resume`` -- it simply refills from the current cursor on waking.
         """
         try:
             while self._fill():
-                if self._consumer_tasks == {_task_ident()}:
-                    # The publishing task is this stream's only consumer:
-                    # suspending it could never be woken.  The rest stays
-                    # held for its next get()/drain().
+                if self._only_consumer():
+                    # Suspending could never be woken; the rest stays held
+                    # for this task's next get()/drain().
                     return
-                waiter = self._loop.create_future()
-                self._not_full.append(waiter)
-                await waiter
+                await self._not_full.wait()
         finally:
             if self._held:
                 # Left entries behind (a raising predicate, cancellation):
                 # let sleeping consumers pull them.
-                self._wake_all(self._not_empty)
+                self._not_empty.notify_all()
 
     def _fill(self) -> bool:
         """Move entries past the cursor into the buffer until it is full.
@@ -405,27 +423,17 @@ class AsyncEventStream(StreamCore):
         Synchronous, so it runs atomically on the loop: publishers and
         consumers may all call it, and entries still enter the buffer in
         offset order.  Returns True when entries are left over because a
-        ``"block"`` buffer filled up.  Each entry is claimed (cursor
-        advanced) before the predicate runs, so a raising predicate consumes
-        its entry instead of wedging the cursor.
+        ``"block"`` buffer filled up.
         """
-        held = self._held
         predicate = self._pull_predicate
-        while not self._closed:
-            if not held:
-                held.extend(self._source.since(self._cursor))
-                if not held:
-                    return False
-            if self._full():
-                return True
-            offset, event, _ = held.popleft()
-            self._cursor = offset + 1
+        while True:
+            event = self._claim()
+            if event is _FULL or event is _DONE:
+                return event is _FULL
             if predicate is None or predicate(event):
-                self._append(event)
-        return False
+                self._admit(event)
 
-    def _replay(self) -> None:
-        self._fill()
+    _replay = _fill
 
     async def resume(self, offset: int) -> "AsyncEventStream":
         """Reposition a resumable stream's cursor and pull immediately.
@@ -439,50 +447,17 @@ class AsyncEventStream(StreamCore):
         ``maxsize`` is pulled as the consumer makes room.
         """
         self._interface._check_loop("stream resume")
-        if self._source is None:
-            raise PSException(
-                "only streams created with from_offset= are resumable; "
-                "use tps.stream(from_offset=...) to make one"
-            )
-        if self._closed:
-            raise PSException("the event stream is closed")
-        self._buffer.clear()
-        self._held.clear()
-        self._cursor = max(0, offset)
-        self._wake_all(self._not_full)
+        self._rewind(offset)
         self._fill()
         return self
 
     async def _enqueue(self, event: Any) -> None:
-        if self._closed:
-            return
         while self._full() and not self._closed:
-            if self._consumer_tasks == {_task_ident()}:
-                # The publishing task is this stream's only consumer so far:
-                # suspending it on _not_full could never be woken.  Same
-                # deliberate heuristic -- and the same trade-offs -- as the
-                # threaded EventStream: raise into the subscription's error
-                # route instead of deadlocking the loop's task.
-                raise PSException(
-                    "AsyncEventStream deadlock: the publishing task "
-                    "is this stream's only consumer and the buffer "
-                    "is full; drain the stream first, consume from "
-                    "another task, or choose policy='drop_oldest'"
-                )
-            waiter = self._loop.create_future()
-            self._not_full.append(waiter)
-            await waiter
-        if self._closed:
-            return
-        self._append(event)
-
-    def _append(self, event: Any) -> None:
-        if self.maxsize and len(self._buffer) >= self.maxsize:
-            # Only "drop_oldest" gets here full ("block" waited for room).
-            self._buffer.popleft()
-            self._dropped += 1
-        self._buffer.append(event)
-        self._wake_one(self._not_empty)
+            if self._only_consumer():
+                raise self._deadlock("task")
+            await self._not_full.wait()
+        if not self._closed:
+            self._admit(event)
 
     # ------------------------------------------------------------- consumer
 
@@ -494,12 +469,12 @@ class AsyncEventStream(StreamCore):
         without an event.
         """
         self._interface._check_loop("stream get")
-        self._consumer_tasks.add(_task_ident())
+        self._consumers.add(_task_ident())
         deadline = None if timeout is None else self._loop.time() + timeout
         while True:
             if self._buffer:
                 event = self._buffer.popleft()
-                self._wake_one(self._not_full)
+                self._not_full.notify()
                 return event
             if self._closed:
                 raise PSException("the event stream is closed and empty")
@@ -508,32 +483,18 @@ class AsyncEventStream(StreamCore):
                 # which the buffer holds something or nothing is held).
                 self._fill()
                 continue
-            waiter = self._loop.create_future()
-            self._not_empty.append(waiter)
-            if deadline is None:
-                await waiter
-                continue
-            remaining = deadline - self._loop.time()
-            try:
-                # A timed-out waiter is left cancelled in the deque; the
-                # _wake_* helpers skip done futures, so it never eats a
-                # wake-up meant for a live consumer.
-                await asyncio.wait_for(waiter, max(remaining, 0.0))
-            except asyncio.TimeoutError:
-                raise PSException(
-                    f"no event arrived within {timeout} seconds"
-                ) from None
+            remaining = None if deadline is None else deadline - self._loop.time()
+            if remaining is not None and remaining <= 0:
+                raise PSException(f"no event arrived within {timeout} seconds")
+            await self._not_empty.wait(remaining)
 
     def drain(self) -> List[Any]:
         """Remove and return everything currently buffered (never suspends)."""
         self._interface._check_loop("stream drain")
-        self._consumer_tasks.add(_task_ident())
+        self._consumers.add(_task_ident())
         if self._held:
             self._fill()
-        events = list(self._buffer)
-        self._buffer.clear()
-        self._wake_all(self._not_full)
-        return events
+        return self._take_all()
 
     def __aiter__(self) -> "AsyncEventStream":
         return self
@@ -545,27 +506,7 @@ class AsyncEventStream(StreamCore):
         except PSException:
             raise StopAsyncIteration from None
 
-    # ------------------------------------------------------------ inspection
-
-    @property
-    def pending(self) -> int:
-        """How many events are buffered right now (loop-confined read)."""
-        return len(self._buffer)
-
-    @property
-    def dropped(self) -> int:
-        """How many events the ``drop_oldest`` policy has discarded."""
-        return self._dropped
-
     # ------------------------------------------------------------- lifecycle
-
-    def _shutdown(self) -> bool:
-        if self._closed:
-            return False
-        self._closed = True
-        self._wake_all(self._not_empty)
-        self._wake_all(self._not_full)
-        return True
 
     def close(self) -> None:
         """Close the stream (loop-confined; see :meth:`StreamCore.close`)."""

@@ -646,7 +646,7 @@ class JxtaTPSEngine(TPSInterface):
         for subscription in self.subscriber_manager.subscriptions():
             try:
                 subscription.exception_handler.handle(error)
-            except BaseException:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken handler must not stop routing
+            except Exception:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken handler must not stop routing
                 pass
 
     def _on_breaker_transition(self, state: str, breaker: Any) -> None:

@@ -168,6 +168,8 @@ class LocalBus:
                 # predicate cannot crash the publisher).  The breaker slot
                 # quarantines persistently-raising rows (see CircuitBreaker);
                 # it is None unless a breaker policy was configured.
+                # Control-flow exceptions are not subscriber errors: they
+                # propagate to the publisher.
                 try:
                     if predicate is not None and not predicate(event):
                         continue
@@ -176,12 +178,12 @@ class LocalBus:
                     handle(event)
                     if breaker is not None:
                         breaker.record_success()
-                except BaseException as error:  # noqa: BLE001 - routed to the handler
+                except Exception as error:  # noqa: BLE001 - routed to the handler
                     if breaker is not None:
                         breaker.record_failure()
                     try:
                         handle_error(error)
-                    except BaseException:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken error handler must not stop dispatch
+                    except Exception:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken error handler must not stop dispatch
                         pass
             delivered += 1
         return delivered

@@ -340,7 +340,7 @@ class ShardedLocalBus:
                 value = self.partition(event)  # type: ignore[operator]
             except PSException:
                 raise
-            except BaseException as error:
+            except Exception as error:
                 raise PSException(
                     f"partition key function {self.partition!r} failed on "
                     f"{type(event).__name__!r}: {error}"

@@ -177,7 +177,8 @@ class TPSSubscriberManager:
         """Hand an event to every callback, routing errors to the paired handler.
 
         Returns the number of callbacks that processed the event without
-        raising.
+        raising.  Control-flow exceptions (``KeyboardInterrupt``,
+        ``SystemExit``) are not subscriber errors and propagate.
         """
         delivered = 0
         for handle, handle_error, predicate, breaker in self._handlers:
@@ -194,12 +195,12 @@ class TPSSubscriberManager:
                 delivered += 1
                 if breaker is not None:
                     breaker.record_success()
-            except BaseException as error:  # noqa: BLE001 - routed to the handler
+            except Exception as error:  # noqa: BLE001 - routed to the handler
                 if breaker is not None:
                     breaker.record_failure()
                 try:
                     handle_error(error)
-                except BaseException:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken handler must not stop dispatch
+                except Exception:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken handler must not stop dispatch
                     pass
         return delivered
 

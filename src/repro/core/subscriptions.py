@@ -37,8 +37,9 @@ top of any :class:`~repro.core.interface.TPSInterface` binding:
 
 Locking model: a handle's ``cancel()`` flips its ``_active`` flag under the
 handle's own lock (exactly-once semantics under concurrent cancellation)
-and runs the discards outside it; a stream guards its buffer, flags and
-conditions with one lock, flips ``_closed`` and wakes all waiters *before*
+and runs the discards outside it; a threaded stream runs every
+:class:`StreamCore` step under one lock, flips ``_closed`` and wakes all
+waiters *before*
 cancelling its subscription, and refuses a ``policy="block"`` wait that the
 waiting thread itself would have to service (the re-entrant
 publisher-is-the-only-consumer deadlock) by raising :class:`PSException`
@@ -371,23 +372,41 @@ class SubscriptionBuilder:
 #: Backpressure policies accepted by every stream flavour.
 STREAM_POLICIES = ("block", "drop_oldest")
 
+#: What :meth:`StreamCore._claim` returns instead of an event: a ``"block"``
+#: buffer has no room (nothing was claimed), or there is nothing to claim
+#: (the stream is closed or has caught up with its history store).
+_FULL = object()
+_DONE = object()
+
 
 class StreamCore:
-    """The binding-agnostic skeleton of pull-style event consumption.
+    """The stream state machine shared by every front-end.
 
-    Owns everything a stream shares across front-ends -- the
-    ``maxsize``/``policy`` contract and its validation, the arrival-order
-    buffer and :attr:`dropped` counter, the internal subscription (predicate
-    pushed down, errors routed to the paired handler, exactly like any
-    application subscription) and the close template that cancels it and
-    unregisters from the interface.  What differs per front-end is *how
-    waiting is expressed*: the threaded :class:`EventStream` blocks on
-    condition variables, the asyncio
-    :class:`~repro.core.async_engine.AsyncEventStream` suspends on futures.
-    Subclasses supply exactly those hooks: ``_init_waiters`` (synchronisation
-    state, created before the subscription can deliver), ``_on_event`` (the
-    producer side) and ``_shutdown`` (flip the closed flag and wake every
-    waiter, exactly once).
+    One state machine, two drivers.  The core owns the stream's state --
+    the ``maxsize``/``policy`` contract and its validation, the
+    arrival-order buffer and :attr:`dropped` counter, the history cursor
+    of a resumable stream, the internal subscription (predicate pushed
+    down, errors routed to the paired handler, exactly like any
+    application subscription) -- and every step that changes it:
+    :meth:`_claim` (pull one entry past the cursor), :meth:`_admit`
+    (buffer one event under the policy), :meth:`_rewind` (``resume``),
+    :meth:`_take_all` (``drain``), :meth:`_close_waiters` (the closed flag)
+    and the re-entrant deadlock heuristic (:meth:`_only_consumer`,
+    :meth:`_deadlock`).  It never waits and takes no lock: its steps run
+    under the driver's exclusion and wake waiters through the driver's
+    ``_not_empty.notify()`` and ``_not_full.notify_all()``.
+
+    The drivers keep only their waiting.  The threaded :class:`EventStream`
+    runs each step under its lock on ``threading.Condition`` waiters,
+    serialises pulls with ``_pulling`` and re-checks ``_epoch`` after
+    running a pull predicate outside the lock.  The asyncio
+    :class:`~repro.core.async_engine.AsyncEventStream` runs each step
+    confined to its loop, where no two steps can interleave, and parks
+    tasks on loop-bound waiters that leave the queue however their wait
+    ends.  Drivers supply ``_init_waiters`` (the waiters, created before
+    the subscription can deliver), ``_ident`` (who is consuming: a thread
+    or task id), ``_on_event`` (the producer side) and ``_replay`` (the
+    first pull of a resumable stream).
     """
 
     def __init__(
@@ -409,6 +428,7 @@ class StreamCore:
             raise PSException(f"stream maxsize must be >= 0, got {maxsize}")
         self.maxsize = maxsize
         self.policy = policy
+        self._interface = interface
         self._buffer: "deque[Any]" = deque()
         self._closed = False
         self._dropped = 0
@@ -430,6 +450,11 @@ class StreamCore:
         #: is pulled by the wake its own append triggers, so consumers pull
         #: only while this is non-empty.
         self._held: "deque[Tuple[int, Any, Any]]" = deque()
+        #: Bumped by ``resume``, so a driver that ran the pull predicate
+        #: outside its exclusion can tell the entry was claimed before it.
+        self._epoch = 0
+        #: Idents (``_ident``) of everyone who has consumed (get/drain).
+        self._consumers: "set[int]" = set()
         self._init_waiters()
         subscription = interface._subscribe_one(
             self._on_event,
@@ -437,15 +462,18 @@ class StreamCore:
             predicate=None if source is not None else predicate,
         )
         self._handle = SubscriptionHandle(interface, [subscription])
-        self._interface = interface
         interface._register_stream(self)
         if source is not None:
             self._replay()
 
-    # ----------------------------------------------------- subclass hooks
+    # ------------------------------------------------------ driver hooks
 
     def _init_waiters(self) -> None:
-        """Create the waiting/synchronisation state; runs before subscribing."""
+        """Create ``_not_empty`` and ``_not_full``; runs before subscribing."""
+        raise NotImplementedError
+
+    def _ident(self) -> int:
+        """Identity of the calling consumer or producer (thread or task)."""
         raise NotImplementedError
 
     def _on_event(self, event: Any) -> Any:
@@ -456,14 +484,108 @@ class StreamCore:
         """Pull the backlog of a cursor-mode stream at construction."""
         raise NotImplementedError
 
+    # ---------------------------------------------------------------- steps
+
     def _full(self) -> bool:
         """Whether a ``"block"`` buffer is at ``maxsize`` (``"drop_oldest"``
         never is: it makes room by dropping)."""
         return self.policy == "block" and 0 < self.maxsize <= len(self._buffer)
 
-    def _shutdown(self) -> bool:
-        """Flip the closed flag and wake all waiters; False when already closed."""
-        raise NotImplementedError
+    def _claim(self) -> Any:
+        """Claim the next entry past the cursor and return its event.
+
+        Refills ``_held`` from the history store when it is empty.  Returns
+        ``_FULL`` without claiming anything when a ``"block"`` buffer has no
+        room, and ``_DONE`` when the stream is closed or caught up.  The
+        cursor moves before the caller filters or buffers the event, so a
+        raising predicate consumes its entry instead of wedging the cursor.
+        """
+        if self._closed:
+            return _DONE
+        held = self._held
+        if not held:
+            held.extend(self._source.since(self._cursor))
+            if not held:
+                return _DONE
+        if self.policy == "block" and 0 < self.maxsize <= len(self._buffer):
+            return _FULL  # _full(), inlined: this runs once per pulled entry
+        offset, event, _ = held.popleft()
+        self._cursor = offset + 1
+        return event
+
+    def _admit(self, event: Any) -> None:
+        """Buffer one event, dropping the oldest when a ``"drop_oldest"``
+        buffer is full (a full ``"block"`` buffer was waited on before)."""
+        if self.maxsize and len(self._buffer) >= self.maxsize:
+            self._buffer.popleft()
+            self._dropped += 1
+        self._buffer.append(event)
+        self._not_empty.notify()
+
+    def _rewind(self, offset: int) -> None:
+        """``resume``'s state change: discard the buffer, move the cursor.
+
+        Anything buffered would replay on top of the re-pulled entries and
+        duplicate them.  ``_held`` is reloaded here, not left to whichever
+        pull runs next: a pull already past its last ``since`` would
+        otherwise miss the range.  Parked publishers wake and pull again
+        from the new cursor.
+        """
+        if self._source is None:
+            raise PSException(
+                "only streams created with from_offset= are resumable; "
+                "use tps.stream(from_offset=...) to make one"
+            )
+        if self._closed:
+            raise PSException("the event stream is closed")
+        self._buffer.clear()
+        self._epoch += 1
+        self._cursor = max(0, offset)
+        self._held = deque(self._source.since(self._cursor))
+        self._not_full.notify_all()
+
+    def _take_all(self) -> List[Any]:
+        """``drain``'s hand-out: everything buffered, waking producers."""
+        events = list(self._buffer)
+        self._buffer.clear()
+        self._not_full.notify_all()
+        return events
+
+    def _close_waiters(self) -> bool:
+        """Flip the closed flag and wake every waiter; False when already
+        closed."""
+        if self._closed:
+            return False
+        self._closed = True
+        self._not_empty.notify_all()
+        self._not_full.notify_all()
+        return True
+
+    def _only_consumer(self) -> bool:
+        """Whether the caller is the only one that has ever consumed.
+
+        A publisher for which this holds must not wait for room in a full
+        ``"block"`` buffer: the one that would make room is the one about
+        to wait.  This is deliberately a *heuristic* on observed consumers:
+        a stream nobody has consumed yet still blocks (a consumer may be
+        about to start, and refusing would break that legitimate pattern),
+        and a past consumer publishing while a brand-new consumer has not
+        reached its first get() is refused spuriously -- the undecidable
+        trade-off is resolved toward the re-entrant case that is a
+        deadlock for certain.
+        """
+        return self._consumers == {self._ident()}
+
+    def _deadlock(self, actor: str) -> PSException:
+        """The error a re-entrant ``"block"`` publish raises instead of
+        waiting forever; like any callback error it is routed to the
+        subscription's exception handler."""
+        return PSException(
+            f"{type(self).__name__} deadlock: the publishing {actor} is this "
+            "stream's only consumer and the buffer is full; drain the stream "
+            f"first, consume from another {actor}, or choose "
+            "policy='drop_oldest'"
+        )
 
     # ------------------------------------------------------------- resuming
 
@@ -477,12 +599,28 @@ class StreamCore:
         """The next history offset a cursor-mode stream will pull (0 when live)."""
         return self._cursor
 
+    # ------------------------------------------------------------ inspection
+
+    @property
+    def pending(self) -> int:
+        """How many events are buffered right now."""
+        return len(self._buffer)
+
+    @property
+    def dropped(self) -> int:
+        """How many events the ``drop_oldest`` policy has discarded."""
+        return self._dropped
+
     # ------------------------------------------------------------ lifecycle
 
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has run."""
         return self._closed
+
+    def _shutdown(self) -> bool:
+        """Run :meth:`_close_waiters` under the driver's exclusion."""
+        return self._close_waiters()
 
     def close(self) -> None:
         """Cancel the subscription and wake all blocked producers/consumers.
@@ -533,8 +671,11 @@ class EventStream(StreamCore):
       :attr:`dropped`.
 
     Closing (or leaving the ``with`` block) cancels the subscription and
-    wakes every blocked producer and consumer.
+    wakes every blocked producer and consumer.  Every :class:`StreamCore`
+    step runs under ``_lock``.
     """
+
+    _ident = staticmethod(threading.get_ident)
 
     def _init_waiters(self) -> None:
         self._lock = threading.Lock()
@@ -548,12 +689,6 @@ class EventStream(StreamCore):
         #: its own.
         self._pulling = False
         self._pull_done = threading.Condition(self._lock)
-        #: Bumped by ``resume``: a pull whose predicate was running on an
-        #: entry claimed before the resume drops it instead of buffering it.
-        self._epoch = 0
-        #: Idents of every thread that has consumed (get/drain), used to
-        #: refuse a ``"block"`` wait that can never be woken (see _on_event).
-        self._consumer_idents: "set[int]" = set()
 
     # ------------------------------------------------------------- producer
 
@@ -564,9 +699,12 @@ class EventStream(StreamCore):
             self._pump()
             return
         with self._lock:
-            if self._closed:
-                return
-            self._enqueue_locked(event)
+            while self._full() and not self._closed:
+                if self._only_consumer():
+                    raise self._deadlock("thread")
+                self._not_full.wait()
+            if not self._closed:
+                self._admit(event)
 
     def _pump(self) -> None:
         """Publisher-side pull: a full ``"block"`` buffer parks the caller."""
@@ -579,10 +717,9 @@ class EventStream(StreamCore):
         try:
             while self._fill():
                 with self._lock:
-                    if self._consumer_idents == {threading.get_ident()}:
-                        # The publishing thread is this stream's only
-                        # consumer: parking it could never be woken.  The
-                        # rest stays held for its next get()/drain().
+                    if self._only_consumer():
+                        # Parking could never be woken; the rest stays
+                        # held for this thread's next get()/drain().
                         return
                     while self._full() and not self._closed:
                         self._not_full.wait()
@@ -593,34 +730,24 @@ class EventStream(StreamCore):
         """Move entries past the cursor into the buffer until it is full.
 
         The caller set ``_pulling``.  Returns True when entries are
-        left over because a ``"block"`` buffer filled up.  Each entry is
-        claimed (cursor advanced) before the predicate runs outside the
-        lock -- a raising predicate consumes its entry instead of wedging
-        the cursor -- and is dropped, not buffered, when ``resume`` bumped
-        the epoch meanwhile.
+        left over because a ``"block"`` buffer filled up.  The predicate
+        runs outside the lock on an entry already claimed, which is dropped,
+        not buffered, when ``resume`` bumped the epoch meanwhile.
         """
         predicate = self._pull_predicate
         while True:
             with self._lock:
-                if self._closed:
-                    return False
-                held = self._held
-                if not held:
-                    held.extend(self._source.since(self._cursor))
-                    if not held:
-                        return False
-                if self._full():
-                    return True
-                offset, event, _ = held.popleft()
-                self._cursor = offset + 1
+                event = self._claim()
+                if event is _FULL or event is _DONE:
+                    return event is _FULL
                 if predicate is None:
-                    self._enqueue_locked(event)
+                    self._admit(event)
                     continue
                 epoch = self._epoch
             if predicate(event):
                 with self._lock:
                     if self._epoch == epoch and not self._closed:
-                        self._enqueue_locked(event)
+                        self._admit(event)
 
     def _end_pull(self) -> None:
         with self._lock:
@@ -640,82 +767,25 @@ class EventStream(StreamCore):
         finally:
             self._end_pull()
 
-    def _replay(self) -> None:
-        self._try_fill()
+    _replay = _try_fill
 
     def resume(self, offset: int) -> "EventStream":
         """Reposition a resumable stream's cursor and pull immediately.
 
         Only streams created with ``from_offset=`` are resumable.  Anything
-        currently buffered is discarded (the buffer would otherwise replay
-        on top of the re-pulled entries and duplicate them); the stream then
-        yields exactly the retained history at or after ``offset``, in
-        order, and keeps following live events from there.  A publisher
-        parked on a full ``"block"`` buffer holds no entry and refills from
-        the new cursor; one running the pull predicate on an entry claimed
-        before the resume drops that entry.  A backlog larger than
-        ``maxsize`` is pulled as the consumer makes room, so resuming never
-        waits for the publisher.  Returns the stream.
+        currently buffered is discarded; the stream then yields exactly the
+        retained history at or after ``offset``, in order, and keeps
+        following live events from there.  A publisher parked on a full
+        ``"block"`` buffer holds no entry and refills from the new cursor;
+        one running the pull predicate on an entry claimed before the
+        resume drops that entry.  A backlog larger than ``maxsize`` is
+        pulled as the consumer makes room, so resuming never waits for the
+        publisher.  Returns the stream.
         """
-        if self._source is None:
-            raise PSException(
-                "only streams created with from_offset= are resumable; "
-                "use tps.stream(from_offset=...) to make one"
-            )
         with self._lock:
-            if self._closed:
-                raise PSException("the event stream is closed")
-            self._buffer.clear()
-            self._epoch += 1
-            self._cursor = max(0, offset)
-            # Loaded here, not left to whichever pull runs next: a pull
-            # already past its last ``since`` would otherwise miss the range.
-            self._held = deque(self._source.since(self._cursor))
-            self._not_full.notify_all()
+            self._rewind(offset)
         self._try_fill()
         return self
-
-    def _enqueue_locked(self, event: Any) -> None:
-        """Apply the maxsize/policy contract and buffer one event.
-
-        Caller holds ``_lock`` and has checked ``_closed``.
-        """
-        if self.maxsize:
-            if self.policy == "block":
-                if (
-                    len(self._buffer) >= self.maxsize
-                    and self._consumer_idents == {threading.get_ident()}
-                ):
-                    # The publishing thread is this stream's only
-                    # consumer so far: blocking it on _not_full could
-                    # never be woken -- the thread that would drain the
-                    # buffer is the one about to wait.  Raise instead of
-                    # deadlocking; like any callback error, the exception
-                    # is routed to the subscription's exception handler.
-                    # This is deliberately a *heuristic* on observed
-                    # consumers: a stream nobody has consumed yet still
-                    # blocks (a consumer thread may be about to start,
-                    # and raising would break that legitimate pattern),
-                    # and a past consumer publishing while a brand-new
-                    # consumer thread has not reached its first get()
-                    # raises spuriously -- the undecidable trade-off is
-                    # resolved toward the re-entrant case that is a
-                    # deadlock for certain.
-                    raise PSException(
-                        "EventStream deadlock: the publishing thread is "
-                        "this stream's only consumer and the buffer is "
-                        "full; drain the stream first, use a consumer "
-                        "thread, or choose policy='drop_oldest'"
-                    )
-                while len(self._buffer) >= self.maxsize and not self._closed:
-                    self._not_full.wait()
-                if self._closed:
-                    return
-            elif len(self._buffer) >= self.maxsize:
-                self._buffer.popleft()
-                self._dropped += 1
-        self._buffer.append(event)
-        self._not_empty.notify()
 
     # ------------------------------------------------------------- consumer
 
@@ -730,7 +800,7 @@ class EventStream(StreamCore):
         deadline = None if timeout is None else monotonic_clock() + timeout
         while True:
             with self._lock:
-                self._consumer_idents.add(threading.get_ident())
+                self._consumers.add(threading.get_ident())
                 if self._buffer:
                     event = self._buffer.popleft()
                     self._not_full.notify()
@@ -761,11 +831,8 @@ class EventStream(StreamCore):
         if self._held:
             self._try_fill()
         with self._lock:
-            self._consumer_idents.add(threading.get_ident())
-            events = list(self._buffer)
-            self._buffer.clear()
-            self._not_full.notify_all()
-            return events
+            self._consumers.add(threading.get_ident())
+            return self._take_all()
 
     def __iter__(self) -> Iterator[Any]:
         """Yield events until the stream is closed and drained."""
@@ -774,20 +841,6 @@ class EventStream(StreamCore):
                 yield self.get()
             except PSException:
                 return
-
-    # ------------------------------------------------------------ inspection
-
-    @property
-    def pending(self) -> int:
-        """How many events are buffered right now."""
-        with self._lock:
-            return len(self._buffer)
-
-    @property
-    def dropped(self) -> int:
-        """How many events the ``drop_oldest`` policy has discarded."""
-        with self._lock:
-            return self._dropped
 
     # ------------------------------------------------------------- lifecycle
 
@@ -803,13 +856,8 @@ class EventStream(StreamCore):
         then sleep forever.
         """
         with self._lock:
-            if self._closed:
-                return False
-            self._closed = True
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
             self._pull_done.notify_all()
-        return True
+            return self._close_waiters()
 
 
 __all__ = [

@@ -331,6 +331,89 @@ class TestAsyncStreams:
         asyncio.run(main())
 
 
+class TestAsyncStreamWaiters:
+    """A parked task leaves its stream's waiter queue however its wait ends."""
+
+    def test_timed_out_gets_leave_no_parked_waiter(self):
+        async def main():
+            engine = TPSEngine(SkiRental)
+            _, subscriber = _pair(engine)
+            stream = subscriber.stream()
+            for _ in range(5000):
+                with pytest.raises(PSException, match="no event arrived"):
+                    await stream.get(timeout=0)
+            for _ in range(3):
+                with pytest.raises(PSException, match="no event arrived"):
+                    await stream.get(timeout=0.001)
+            parked = len(stream._not_empty)
+            engine.close()
+            return parked
+
+        assert asyncio.run(main()) == 0
+
+    def test_consumer_cancelled_after_its_wake_up_hands_it_on(self):
+        async def main():
+            engine = TPSEngine(SkiRental)
+            publisher, subscriber = _pair(engine)
+            stream = subscriber.stream()
+            first = asyncio.create_task(stream.get())
+            second = asyncio.create_task(stream.get())
+            await asyncio.sleep(0)
+            await publisher.publish(_offer("only"))  # wakes ``first``
+            first.cancel()
+            event = await asyncio.wait_for(second, 0.5)
+            parked = len(stream._not_empty)
+            engine.close()
+            return first.cancelled(), event.shop, parked
+
+        assert asyncio.run(main()) == (True, "only", 0)
+
+    @pytest.mark.parametrize("from_offset", [None, 0])
+    def test_cancelled_block_publisher_propagates_and_leaves_no_waiter(
+        self, from_offset
+    ):
+        """Cancelling a publisher parked on a full ``"block"`` stream is a
+        cancellation, not a subscriber error: ``publish`` raises
+        ``CancelledError``, the stream's handler is not called, its breaker
+        is not charged, and no parked waiter is left behind."""
+
+        async def main():
+            engine = TPSEngine(SkiRental)
+            publisher, subscriber = _pair(engine, breaker_threshold=1)
+            errors: List[BaseException] = []
+            stream = (
+                subscriber.subscription()
+                .on_error(errors.append)
+                .stream(maxsize=1, policy="block", from_offset=from_offset)
+            )
+            await publisher.publish(_offer("fits"))
+            task = asyncio.create_task(publisher.publish(_offer("parks")))
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert len(stream._not_full) == 1
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            breakers = [
+                subscription.breaker
+                for subscription in subscriber.subscriber_manager.subscriptions()
+            ]
+            outcome = (
+                errors,
+                len(stream._not_full),
+                [(b.state, b.failures) for b in breakers],
+                [event.shop for event in stream.drain()],
+            )
+            engine.close()
+            return outcome
+
+        errors, parked, breakers, drained = asyncio.run(main())
+        assert errors == []
+        assert parked == 0
+        assert breakers == [("closed", 0)]
+        assert drained == ["fits"]
+
+
 class TestAsyncLifecycle:
     def test_await_close_and_async_with_are_equivalent(self):
         async def main():

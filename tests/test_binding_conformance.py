@@ -25,7 +25,9 @@ branch on the binding name.
 
 Covered surface: publish/subscribe with ordering and history, handle
 cancellation, fluent ``.where()`` predicates, streams under both overflow
-policies, close idempotence, and the uniform post-close ``PSException``.
+policies (live, and resumable ``from_offset`` streams: replay, filtering,
+drops and ``resume``), close idempotence, and the uniform post-close
+``PSException``.
 
 The ``+CHAOS`` variants (marked ``chaos``) re-run the wire bindings over a
 fault-injected network -- every link drops, duplicates, reorders and delays
@@ -161,6 +163,14 @@ class AsyncStreamDriver(_LoopProxy):
     @property
     def dropped(self) -> int:
         return self._stream.dropped
+
+    @property
+    def offset(self) -> int:
+        return self._stream.offset
+
+    def resume(self, offset: int) -> "AsyncStreamDriver":
+        self._run(self._stream.resume, offset)
+        return self
 
     def __enter__(self) -> "AsyncStreamDriver":
         return self
@@ -512,6 +522,91 @@ class TestStreamConformance:
         assert [e.shop for e in stream.drain()] == ["kept"]
         with pytest.raises(PSException):
             stream.get(timeout=0.01)
+
+
+    # Cursor mode (``from_offset``): the stream pulls from the subscriber's
+    # received history, so these need history to exist first -- an inbox
+    # subscription makes the subscriber record what it is delivered.
+
+    def _history(self, harness, shops_prices):
+        publisher, subscriber = harness.pair()
+        subscriber.subscribe(lambda offer: None)
+        harness.pump()
+        for shop, price in shops_prices:
+            harness.publish(publisher, _offer(shop, price))
+        return publisher, subscriber
+
+    def test_cursor_stream_replays_then_follows_live(self, harness):
+        publisher, subscriber = self._history(
+            harness, [(f"old-{index}", 10.0) for index in range(3)]
+        )
+        with subscriber.stream(maxsize=10, from_offset=1) as stream:
+            assert [e.shop for e in stream.drain()] == ["old-1", "old-2"]
+            harness.pump()
+            harness.publish(publisher, _offer("live"))
+            assert [e.shop for e in stream.drain()] == ["live"]
+            assert stream.offset == 4
+
+    def test_cursor_stream_filters_with_where(self, harness):
+        publisher, subscriber = self._history(
+            harness, [("cheap", 10.0), ("expensive", 500.0), ("bargain", 25.0)]
+        )
+        with subscriber.subscription().where(
+            lambda offer: offer.price < 50.0
+        ).stream(maxsize=10, from_offset=0) as stream:
+            assert [e.shop for e in stream.drain()] == ["cheap", "bargain"]
+            harness.pump()
+            harness.publish(publisher, _offer("luxury", 900.0))
+            harness.publish(publisher, _offer("steal", 5.0))
+            assert [e.shop for e in stream.drain()] == ["steal"]
+
+    def test_cursor_stream_drop_oldest_counts_drops(self, harness):
+        publisher, subscriber = self._history(
+            harness, [("shop-0", 10.0), ("shop-1", 10.0)]
+        )
+        with subscriber.stream(
+            maxsize=2, policy="drop_oldest", from_offset=0
+        ) as stream:
+            assert stream.dropped == 0
+            harness.pump()
+            for index in range(2, 5):
+                harness.publish(publisher, _offer(f"shop-{index}"))
+            assert stream.dropped == 3
+            assert [e.shop for e in stream.drain()] == ["shop-3", "shop-4"]
+
+    def test_cursor_stream_resume_yields_offsets_from_n(self, harness):
+        shops = [f"shop-{index}" for index in range(4)]
+        _, subscriber = self._history(harness, [(shop, 10.0) for shop in shops])
+        with subscriber.stream(maxsize=10, from_offset=0) as stream:
+            assert [e.shop for e in stream.drain()] == shops
+            for offset in (2, 0, 3, 4):
+                assert stream.resume(offset) is stream
+                assert [e.shop for e in stream.drain()] == shops[offset:]
+                assert stream.offset == len(shops)
+
+
+class TestControlFlowExceptions:
+    """Control-flow exceptions are not subscriber errors: they propagate."""
+
+    @pytest.mark.parametrize("binding", ["LOCAL", "SHARDED", "JXTA"])
+    def test_keyboard_interrupt_in_callback_propagates_out_of_publish(
+        self, binding
+    ):
+        harness = BindingHarness(binding)
+        try:
+            publisher, subscriber = harness.pair()
+            errors: List[BaseException] = []
+
+            def interrupted(offer: Any) -> None:
+                raise KeyboardInterrupt
+
+            subscriber.subscribe(interrupted, errors.append)
+            harness.pump()
+            with pytest.raises(KeyboardInterrupt):
+                harness.publish(publisher, _offer())
+            assert errors == []
+        finally:
+            harness.finish()
 
 
 class TestLifecycleConformance:
